@@ -101,9 +101,9 @@ class BatchClassifier:
     """Batch (NumPy) classifier with the scalar classifier's exact semantics.
 
     Drop-in replacement for :class:`~repro.cme.point.PointClassifier` in the
-    solvers: exposes the same :meth:`classify` /
-    :meth:`drain_vector_trials` surface, plus the bulk entry point
-    :meth:`tally_ref` the solvers prefer when present.
+    solvers: exposes the same :meth:`classify` / :meth:`tally_ref` /
+    :meth:`drain_vector_trials` surface; :meth:`tally_ref` classifies a
+    whole point set in one vectorized call.
     """
 
     #: Resolved backend name (mirrors ``resolve_backend`` vocabulary).
@@ -342,16 +342,6 @@ class BatchClassifier:
         points: Optional[Sequence[Sequence[int]]],
     ) -> None:
         """Point-by-point scalar fallback with identical tallies."""
-        if points is None:
-            points = self.nprog.ris(ref.leaf).enumerate_points()
-        classify = self.scalar.classify
-        for point in points:
-            outcome = classify(ref, tuple(int(v) for v in point)).outcome
-            self.fallback_points += 1
-            result.analysed += 1
-            if outcome is Outcome.COLD:
-                result.cold += 1
-            elif outcome is Outcome.REPLACEMENT:
-                result.replacement += 1
-            else:
-                result.hits += 1
+        analysed = result.analysed
+        self.scalar.tally_ref(ref, result, points)
+        self.fallback_points += result.analysed - analysed

@@ -23,7 +23,6 @@ simulation the paper reports (Table 6).
 from __future__ import annotations
 
 import random
-import time
 from typing import Iterable, Optional, TYPE_CHECKING
 
 from repro import obs
@@ -31,11 +30,11 @@ from repro.layout.cache import CacheConfig
 from repro.layout.memory import MemoryLayout
 from repro.normalize.nprogram import NormalizedProgram, NRef
 from repro.iteration.walker import Walker
-from repro.reuse.generator import ReuseOptions, ReuseTable, build_reuse_table
+from repro.reuse.generator import ReuseOptions, ReuseTable
 from repro.stats.confidence import DEFAULT_FALLBACK, achievable, sample_size
-from repro.cme.backend import make_classifier
+from repro.cme import solve
 from repro.cme.find import record_ref_metrics
-from repro.cme.point import PointClassifier, Outcome
+from repro.cme.point import PointClassifier
 from repro.cme.result import MissReport, RefResult
 
 if TYPE_CHECKING:  # repro.memo imports repro.cme.result — keep this lazy
@@ -76,20 +75,7 @@ def estimate_ref_misses(
         else:
             points = list(ris.enumerate_points())  # analyse all points
             obs.counter("cme.sampling.exhaustive").inc()
-        tally = getattr(classifier, "tally_ref", None)
-        if tally is not None:  # batch backend: the whole sample in one call
-            tally(ref, result, points)
-        else:
-            classify = classifier.classify
-            for point in points:
-                outcome = classify(ref, point).outcome
-                result.analysed += 1
-                if outcome is Outcome.COLD:
-                    result.cold += 1
-                elif outcome is Outcome.REPLACEMENT:
-                    result.replacement += 1
-                else:
-                    result.hits += 1
+        classifier.tally_ref(ref, result, points)
         result.check_invariants()
         record_ref_metrics(result, classifier)
     return result
@@ -126,50 +112,9 @@ def estimate_misses(
     ``"numpy"``; ``None`` = NumPy when available); both backends draw the
     same sample and produce bit-identical reports, so memo keys exclude it.
     """
-    started = time.perf_counter()
     if rng is not None:
         seed = rng.getrandbits(64)
-    if reuse is None:
-        reuse = build_reuse_table(nprog, cache.line_bytes, reuse_options)
-    targets = list(refs) if refs is not None else list(nprog.refs)
-    if jobs != 1:  # 0/negative/None mean "all CPUs" (resolved by the engine)
-        from repro.parallel import solve_parallel
-
-        return solve_parallel(
-            "estimate",
-            nprog,
-            layout,
-            cache,
-            reuse,
-            jobs,
-            refs=targets,
-            confidence=confidence,
-            width=width,
-            seed=seed,
-            memo=memo,
-            backend=backend,
-        )
-    classifier = make_classifier(backend, nprog, layout, cache, reuse, walker)
-    report = MissReport("EstimateMisses", cache)
-    with obs.span("cme/estimate"):
-        if memo is not None:
-            plan = memo.session(
-                "estimate", nprog, layout, cache, reuse, confidence, width, seed
-            ).plan(targets)
-            for ref in plan.solve:
-                result = estimate_ref_misses(
-                    classifier, nprog, ref, confidence, width, seed
-                )
-                report.results[ref.uid] = result
-                plan.add(ref, result)
-            report.results = plan.finish(report.results)
-        else:
-            for ref in targets:
-                report.results[ref.uid] = estimate_ref_misses(
-                    classifier, nprog, ref, confidence, width, seed
-                )
-    report.elapsed_seconds = time.perf_counter() - started
-    report.solver_seconds = report.elapsed_seconds
-    if obs.is_enabled():
-        report.metrics = obs.snapshot()
-    return report
+    return solve.run(
+        "estimate", nprog, layout, cache, reuse, walker, refs, reuse_options,
+        confidence, width, seed, jobs, memo, backend,
+    )

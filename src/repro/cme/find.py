@@ -8,13 +8,12 @@ generated).
 
 The per-reference unit of work, :func:`find_ref_misses`, is deliberately
 free-standing: references are independent once the reuse table is built, so
-the parallel engine (:mod:`repro.parallel`) shards references across worker
-processes and calls the very same function.
+every executor of the solve runner (:mod:`repro.cme.solve`) — in process,
+process pool, daemon — calls the very same function.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Iterable, Optional, TYPE_CHECKING
 
 from repro import obs
@@ -22,9 +21,9 @@ from repro.layout.cache import CacheConfig
 from repro.layout.memory import MemoryLayout
 from repro.normalize.nprogram import NormalizedProgram, NRef
 from repro.iteration.walker import Walker
-from repro.reuse.generator import ReuseOptions, ReuseTable, build_reuse_table
-from repro.cme.backend import make_classifier
-from repro.cme.point import PointClassifier, Outcome
+from repro.reuse.generator import ReuseOptions, ReuseTable
+from repro.cme import solve
+from repro.cme.point import PointClassifier
 from repro.cme.result import MissReport, RefResult
 
 if TYPE_CHECKING:  # repro.memo imports repro.cme.result — keep this lazy
@@ -60,20 +59,7 @@ def find_ref_misses(
     with obs.span("cme/classify_ref"):
         ris = nprog.ris(ref.leaf)
         result = RefResult(ref.name(), ref.uid, population=ris.count())
-        tally = getattr(classifier, "tally_ref", None)
-        if tally is not None:  # batch backend: whole RIS in one call
-            tally(ref, result)
-        else:
-            classify = classifier.classify
-            for point in ris.enumerate_points():
-                outcome = classify(ref, point).outcome
-                result.analysed += 1
-                if outcome is Outcome.COLD:
-                    result.cold += 1
-                elif outcome is Outcome.REPLACEMENT:
-                    result.replacement += 1
-                else:
-                    result.hits += 1
+        classifier.tally_ref(ref, result)
         result.check_invariants(exhaustive=True)
         record_ref_metrics(result, classifier)
     return result
@@ -105,43 +91,7 @@ def find_misses(
     available); both backends produce bit-identical reports, so memo keys
     exclude it.
     """
-    started = time.perf_counter()
-    if reuse is None:
-        reuse = build_reuse_table(nprog, cache.line_bytes, reuse_options)
-    targets = list(refs) if refs is not None else list(nprog.refs)
-    if jobs != 1:  # 0/negative/None mean "all CPUs" (resolved by the engine)
-        from repro.parallel import solve_parallel
-
-        return solve_parallel(
-            "find",
-            nprog,
-            layout,
-            cache,
-            reuse,
-            jobs,
-            refs=targets,
-            memo=memo,
-            backend=backend,
-        )
-    classifier = make_classifier(backend, nprog, layout, cache, reuse, walker)
-    report = MissReport("FindMisses", cache)
-    with obs.span("cme/find"):
-        if memo is not None:
-            plan = memo.session("find", nprog, layout, cache, reuse).plan(
-                targets
-            )
-            for ref in plan.solve:
-                result = find_ref_misses(classifier, nprog, ref)
-                report.results[ref.uid] = result
-                plan.add(ref, result)
-            report.results = plan.finish(report.results)
-        else:
-            for ref in targets:
-                report.results[ref.uid] = find_ref_misses(
-                    classifier, nprog, ref
-                )
-    report.elapsed_seconds = time.perf_counter() - started
-    report.solver_seconds = report.elapsed_seconds
-    if obs.is_enabled():
-        report.metrics = obs.snapshot()
-    return report
+    return solve.run(
+        "find", nprog, layout, cache, reuse, walker, refs, reuse_options,
+        jobs=jobs, memo=memo, backend=backend,
+    )

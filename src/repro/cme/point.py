@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.layout.cache import CacheConfig
 from repro.layout.memory import MemoryLayout
@@ -31,6 +31,7 @@ from repro.iteration.position import interleave, subtract
 from repro.iteration.walker import Walker, compile_affine
 from repro.reuse.generator import ReuseTable
 from repro.reuse.vectors import ReuseVector
+from repro.cme.result import RefResult
 
 
 class Outcome(Enum):
@@ -153,3 +154,28 @@ class PointClassifier:
             return Classification(Outcome.HIT, rv)
         self.vector_trials += trials
         return Classification(Outcome.COLD)
+
+    def tally_ref(
+        self,
+        ref: NRef,
+        result: RefResult,
+        points: Optional[Iterable[Sequence[int]]] = None,
+    ) -> None:
+        """Classify ``points`` of ``ref`` (``None`` = the full RIS) one at
+        a time, accumulating the outcomes into ``result``.
+
+        The scalar twin of :meth:`repro.cme.batch.BatchClassifier.tally_ref`
+        — the one outcome-counting loop every solver goes through.
+        """
+        if points is None:
+            points = self.nprog.ris(ref.leaf).enumerate_points()
+        classify = self.classify
+        for point in points:
+            outcome = classify(ref, point).outcome
+            result.analysed += 1
+            if outcome is Outcome.COLD:
+                result.cold += 1
+            elif outcome is Outcome.REPLACEMENT:
+                result.replacement += 1
+            else:
+                result.hits += 1

@@ -61,7 +61,6 @@ residual regions (at most one per reference), with ``fallback_cells`` /
 from __future__ import annotations
 
 import math
-import time
 from typing import Iterable, Optional, TYPE_CHECKING
 
 from repro import obs
@@ -71,9 +70,9 @@ from repro.normalize.nprogram import NormalizedProgram, NRef
 from repro.polyhedra.affine import Affine
 from repro.polyhedra.constraints import Constraint, EQ
 from repro.polyhedra.regions import RegionSpace, negate_constraint
-from repro.reuse.generator import ReuseOptions, ReuseTable, build_reuse_table
+from repro.reuse.generator import ReuseOptions, ReuseTable
 from repro.reuse.vectors import ReuseVector
-from repro.cme.backend import make_classifier
+from repro.cme import solve
 from repro.cme.find import record_ref_metrics
 from repro.cme.point import Outcome
 from repro.cme.result import MissReport, RefResult
@@ -760,25 +759,6 @@ class RegionSolver:
             exact += 1
         return exact, fallback_pts, fallback_cells
 
-    def _classify_points(
-        self, ref: NRef, points: list[tuple[int, ...]], result: RefResult
-    ) -> None:
-        """Exact fallback: enumerate through the classification backend."""
-        tally = getattr(self.classifier, "tally_ref", None)
-        if tally is not None:  # batch backend: one vectorized call
-            tally(ref, result, points=points)
-            return
-        classify = self.classifier.classify
-        for point in points:
-            outcome = classify(ref, point).outcome
-            result.analysed += 1
-            if outcome is Outcome.COLD:
-                result.cold += 1
-            elif outcome is Outcome.REPLACEMENT:
-                result.replacement += 1
-            else:
-                result.hits += 1
-
     def solve_ref(self, ref: NRef) -> RefResult:
         """Classify one reference regionally (the shard unit)."""
         with obs.span("cme/region_ref"):
@@ -851,8 +831,8 @@ class RegionSolver:
                     continue
                 fallback_cells += 1
                 fallback_pts.extend(cell.enumerate_points())
-            if fallback_pts:
-                self._classify_points(ref, fallback_pts, result)
+            if fallback_pts:  # exact fallback through the backend
+                self.classifier.tally_ref(ref, result, fallback_pts)
             result.check_invariants(exhaustive=True)
             obs.counter("cme.regions.exact_regions").inc(exact_regions)
             obs.counter("cme.regions.fallback_regions").inc(
@@ -939,43 +919,7 @@ def region_misses(
     ``regions`` method, like point solutions), and ``backend`` selects the
     enumeration backend used for irregular fallback regions.
     """
-    started = time.perf_counter()
-    if reuse is None:
-        reuse = build_reuse_table(nprog, cache.line_bytes, reuse_options)
-    targets = list(refs) if refs is not None else list(nprog.refs)
-    if jobs != 1:  # 0/negative/None mean "all CPUs" (resolved by the engine)
-        from repro.parallel import solve_parallel
-
-        return solve_parallel(
-            "regions",
-            nprog,
-            layout,
-            cache,
-            reuse,
-            jobs,
-            refs=targets,
-            memo=memo,
-            backend=backend,
-        )
-    classifier = make_classifier(backend, nprog, layout, cache, reuse, walker)
-    report = MissReport("RegionMisses", cache)
-    with obs.span("cme/regions"):
-        if memo is not None:
-            plan = memo.session("regions", nprog, layout, cache, reuse).plan(
-                targets
-            )
-            for ref in plan.solve:
-                result = region_ref_misses(classifier, nprog, ref)
-                report.results[ref.uid] = result
-                plan.add(ref, result)
-            report.results = plan.finish(report.results)
-        else:
-            for ref in targets:
-                report.results[ref.uid] = region_ref_misses(
-                    classifier, nprog, ref
-                )
-    report.elapsed_seconds = time.perf_counter() - started
-    report.solver_seconds = report.elapsed_seconds
-    if obs.is_enabled():
-        report.metrics = obs.snapshot()
-    return report
+    return solve.run(
+        "regions", nprog, layout, cache, reuse, walker, refs, reuse_options,
+        jobs=jobs, memo=memo, backend=backend,
+    )

@@ -114,10 +114,10 @@ class MissReport:
     elapsed_seconds: float = field(default=0.0, compare=False)
     #: Worker processes used (1 = the serial in-process path).
     jobs: int = field(default=1, compare=False)
-    #: ``perf_counter`` time spent classifying points, summed across
-    #: workers.  Equals ``elapsed_seconds`` for serial runs; for parallel
-    #: runs the ratio ``solver_seconds / elapsed_seconds`` is the
-    #: effective speedup.
+    #: ``perf_counter`` time spent in the per-reference units, summed
+    #: across workers (memo planning and report assembly excluded).  Close
+    #: to ``elapsed_seconds`` for serial runs; for parallel runs the ratio
+    #: ``solver_seconds / elapsed_seconds`` is the effective speedup.
     solver_seconds: float = field(default=0.0, compare=False)
     #: Observability snapshot (``repro.obs`` schema document) taken at the
     #: end of the solve when observability was enabled, else ``None``.

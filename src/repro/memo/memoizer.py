@@ -10,11 +10,12 @@ partitions the targets into
   in this run, or from the persistent store), and
 * **solves** — one representative per distinct *new* equation system.
 
-Both the serial solvers and the parallel engine run exactly this planning
-code and then solve exactly ``plan.solve``, so the ``memo.hits`` /
-``memo.misses`` / ``memo.dedup.groups`` counters are identical for any
-``--jobs`` value — a duplicate of a not-yet-solved system counts as a hit
-in either case, because only one classification pays for the whole group.
+Every solve path plans here through one caller — the solve runner
+(:func:`repro.cme.solve.run`) — and then solves exactly ``plan.solve``, so
+the ``memo.hits`` / ``memo.misses`` / ``memo.dedup.groups`` counters are
+identical for any ``--jobs`` value — a duplicate of a not-yet-solved
+system counts as a hit in either case, because only one classification
+pays for the whole group.
 
 Replayed results are rebuilt by :func:`replay` with the *consumer's* own
 name and uid, so a memoized report is field-for-field identical to an
@@ -28,6 +29,7 @@ from typing import Iterable, Optional, Sequence, TYPE_CHECKING
 
 from repro import obs
 from repro.cme.result import RefResult
+from repro.cme.solve import lookup
 from repro.memo.key import KeyBuilder
 from repro.memo.store import MemoStore
 
@@ -139,13 +141,14 @@ class Memoizer:
 
     # -- internal (used by MemoSession/MemoPlan) -------------------------------
 
-    def _lookup(self, key: str) -> Optional[list]:
+    def _lookup(self, key: str, plan: "MemoPlan") -> Optional[list]:
         payload = self._results.get(key)
         if payload is not None:
             return payload
         payload = self._persisted.get(key)
         if payload is not None:
             self.store_hits += 1
+            plan.store_hits += 1
             obs.counter("memo.store.hits").inc()
         return payload
 
@@ -183,7 +186,7 @@ class MemoSession:
         """The content key of ``ref`` under this session's parameters."""
         key = self._keys.get(ref.uid)
         if key is None:
-            if self.method == "estimate":
+            if lookup(self.method).sampled:
                 params: Sequence = [
                     self._confidence,
                     self._width,
@@ -207,7 +210,7 @@ class MemoSession:
                     memo._seen.add(key)
                     memo.groups += 1
                     obs.counter("memo.dedup.groups").inc()
-                payload = memo._lookup(key)
+                payload = memo._lookup(key, plan)
                 if payload is not None:
                     memo.hits += 1
                     obs.counter("memo.hits").inc()
@@ -239,6 +242,8 @@ class MemoPlan:
         self.session = session
         self.targets = targets
         self.solve: list = []  # representative refs that need classification
+        #: Replays of this plan answered from the persistent store.
+        self.store_hits = 0
         self._replays: list = []  # (ref, key, payload-or-None)
         self._solved: dict[str, list] = {}
 

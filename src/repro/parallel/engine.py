@@ -1,28 +1,36 @@
-"""Parallel per-reference CME engine.
+"""Process-pool executor for the solve runner.
 
 Once the reuse table and the walker order are fixed, the per-reference work
-of ``FindMisses`` and ``EstimateMisses`` is embarrassingly parallel: each
-reference owns a disjoint slice of the report and (for ``EstimateMisses``)
-its own derived RNG seed ``seed ^ ref.uid``.  The engine shards references
-across a :class:`concurrent.futures.ProcessPoolExecutor`:
+of every method is embarrassingly parallel: each reference owns a disjoint
+slice of the report and (for ``EstimateMisses``) its own derived RNG seed
+``seed ^ ref.uid``.  :class:`ParallelEngine` is the executor of
+:func:`repro.cme.solve.run` that shards references across a
+:class:`concurrent.futures.ProcessPoolExecutor`.  The runner plans (memo),
+reassembles and finishes in the parent; the engine keeps only the pool:
 
 * the immutable analysis state — ``(NormalizedProgram, MemoryLayout,
   CacheConfig, ReuseTable)`` — is pickled **once**, shipped to each worker
   through the pool initializer, and unpickled **once per worker**; every
   task afterwards only carries reference uids;
-* workers run the exact same per-reference units as the serial solvers
-  (:func:`~repro.cme.find.find_ref_misses`,
-  :func:`~repro.cme.estimate.estimate_ref_misses`), so a parallel report is
-  bit-identical to the serial one and ``MissReport.__eq__`` holds across
-  ``jobs`` (timing fields are excluded from equality);
+* workers run the method table's per-reference units
+  (:data:`repro.cme.solve.METHODS`), looked up when the task runs, so a
+  parallel report is bit-identical to the serial one and
+  ``MissReport.__eq__`` holds across ``jobs`` (timing fields are excluded
+  from equality);
 * references are dealt round-robin into a few chunks per worker, which
   balances the skewed RIS volumes of triangular and guarded spaces;
 * when observability (:mod:`repro.obs`) is enabled in the parent, each task
   carries a flag telling the worker to record into its *own* registry and
   tracer; finished chunks ship a ``{"metrics", "spans"}`` snapshot back with
   the results and the parent folds it in under its ``parallel/solve`` span —
-  so merged counters across any ``jobs`` equal the serial run's, and worker
-  time appears nested in the parent's span tree.
+  so every merged ``cme.*`` and ``memo.*`` counter equals the serial run's,
+  and worker time appears nested in the parent's span tree.  The exception
+  is ``polyhedra.count.cache_hits``: it counts hits in the process-wide
+  count memo (:mod:`repro.polyhedra.space`), so its value depends on what
+  each process counted before and differs across ``jobs``;
+* a worker that dies mid-task (``BrokenProcessPool``) costs wall time, not
+  results: the references no merged chunk answered are solved in the
+  parent, so results and counters still equal the serial run's.
 
 Use :class:`ParallelEngine` to keep the pool (and the per-worker caches)
 alive across several solves — e.g. sweeping cache associativities or
@@ -45,6 +53,7 @@ from repro.layout.cache import CacheConfig
 from repro.layout.memory import MemoryLayout
 from repro.normalize.nprogram import NormalizedProgram, NRef
 from repro.reuse.generator import ReuseTable
+from repro.cme import solve
 from repro.cme.backend import make_classifier, resolve_backend
 from repro.cme.result import MissReport, RefResult
 
@@ -94,9 +103,8 @@ def _init_worker(payload: bytes) -> None:
     obs.disable()
 
 
-#: A solve task:
-#: ``(method, uids, confidence, width, seed, ship_obs, ship_timeline)``.
-Task = tuple[str, tuple[int, ...], float, float, int, bool, bool]
+#: A solve task: ``(method, uids, params, ship_obs, ship_timeline)``.
+Task = tuple[str, tuple[int, ...], tuple, bool, bool]
 
 
 def _solve_chunk(task: Task) -> tuple[list[RefResult], float, Optional[dict]]:
@@ -111,12 +119,9 @@ def _solve_chunk(task: Task) -> tuple[list[RefResult], float, Optional[dict]]:
     export renders each worker as its own lane) and the worker's peak RSS
     (``parallel.worker_peak_rss_bytes``).
     """
-    from repro.cme.estimate import estimate_ref_misses
-    from repro.cme.find import find_ref_misses
-    from repro.cme.regions import region_ref_misses
     from repro.obs.resource import peak_rss_bytes
 
-    method, uids, confidence, width, seed, ship_obs, ship_timeline = task
+    method, uids, params, ship_obs, ship_timeline = task
     assert _STATE is not None, "worker used before initialisation"
     nprog, classifier = _STATE
     if ship_obs and not obs.is_enabled():
@@ -124,19 +129,8 @@ def _solve_chunk(task: Task) -> tuple[list[RefResult], float, Optional[dict]]:
     if ship_timeline:
         obs.enable_timeline()
     started = time.perf_counter()
-    results: list[RefResult] = []
-    for uid in uids:
-        ref = nprog.refs[uid]
-        if method == "find":
-            results.append(find_ref_misses(classifier, nprog, ref))
-        elif method == "regions":
-            results.append(region_ref_misses(classifier, nprog, ref))
-        else:
-            results.append(
-                estimate_ref_misses(
-                    classifier, nprog, ref, confidence, width, seed
-                )
-            )
+    unit = solve.lookup(method).unit()
+    results = [unit(classifier, nprog, nprog.refs[uid], *params) for uid in uids]
     solver_seconds = time.perf_counter() - started
     snap: Optional[dict] = None
     if ship_obs:
@@ -168,6 +162,9 @@ class ParallelEngine:
     ``jobs=1`` is a zero-overhead serial solver — handy for sweeping the
     ``jobs`` axis in benchmarks with one code path.
     """
+
+    #: The span the solve runner opens around plan → solve → finish.
+    span = "parallel/solve"
 
     def __init__(
         self,
@@ -223,11 +220,11 @@ class ParallelEngine:
 
     def find(self, refs: Optional[Iterable[NRef]] = None) -> MissReport:
         """Exhaustive ``FindMisses`` across the pool."""
-        return self._solve("find", refs, 0.0, 0.0, 0)
+        return self.run("find", refs)
 
     def regions(self, refs: Optional[Iterable[NRef]] = None) -> MissReport:
         """Regional ``RegionMisses`` across the pool (equal to :meth:`find`)."""
-        return self._solve("regions", refs, 0.0, 0.0, 0)
+        return self.run("regions", refs)
 
     def estimate(
         self,
@@ -237,109 +234,86 @@ class ParallelEngine:
         seed: int = 0,
     ) -> MissReport:
         """Sampling ``EstimateMisses`` across the pool."""
-        return self._solve("estimate", refs, confidence, width, seed)
+        return self.run("estimate", refs, confidence, width, seed)
 
-    def _solve(
+    def run(
         self,
         method: str,
-        refs: Optional[Iterable[NRef]],
-        confidence: float,
-        width: float,
-        seed: int,
+        refs: Optional[Iterable[NRef]] = None,
+        confidence: float = 0.95,
+        width: float = 0.05,
+        seed: int = 0,
     ) -> MissReport:
-        started = time.perf_counter()
-        targets = list(refs) if refs is not None else list(self.nprog.refs)
-        # Memo planning happens in the parent, against its preloaded store
-        # snapshot, *before* sharding: only one representative per distinct
-        # equation system is dispatched; workers never touch the store.  The
-        # identical planning code runs in the serial solvers, so ``memo.*``
-        # counters match across any ``jobs`` value.
-        plan = None
-        if self.memo is not None:
-            plan = self.memo.session(
-                method,
-                self.nprog,
-                self.layout,
-                self.cache,
-                self.reuse,
-                confidence,
-                width,
-                seed,
-            ).plan(targets)
-            targets = plan.solve
-        uids = [ref.uid for ref in targets]
-        name = {
-            "find": "FindMisses",
-            "regions": "RegionMisses",
-        }.get(method, "EstimateMisses")
-        report = MissReport(name, self.cache, jobs=self.jobs)
+        """Any method of :data:`repro.cme.solve.METHODS` across the pool."""
+        return solve.run(
+            method, self.nprog, self.layout, self.cache, self.reuse,
+            refs=refs, confidence=confidence, width=width, seed=seed,
+            memo=self.memo, executor=self,
+        )
+
+    def solve(
+        self, method: "solve.Method", refs: Sequence[NRef], params: tuple
+    ) -> tuple[list[RefResult], float]:
+        """Executor entry point: solve ``refs`` (in order) across the pool.
+
+        Memo planning has already happened in the parent, against its
+        preloaded store snapshot: only one representative per distinct
+        equation system reaches the workers, which never touch the store.
+        """
         obs.gauge("parallel.jobs").set(self.jobs)
-        with obs.span("parallel/solve"):
-            if not uids:
-                by_uid: dict[int, RefResult] = {}
-            elif self.jobs <= 1 or len(uids) <= 1:
-                # Serial path through the identical chunk code (no pool).
-                # ``ship_obs=False``: this process's live instruments record
-                # directly, so nothing must be snapshot/reset here.
-                _load_state(self._payload)
-                results, solver, _ = _solve_chunk(
-                    (method, tuple(uids), confidence, width, seed, False, False)
-                )
-                by_uid = {r.ref_uid: r for r in results}
-                report.solver_seconds = solver
-            else:
-                pool = self._ensure_pool()
-                ship_obs = obs.is_enabled()
-                ship_timeline = obs.timeline_enabled()
-                chunks = _deal_chunks(uids, self.jobs)
-                shard_hist = obs.histogram("parallel.shard_size")
-                for chunk in chunks:
-                    shard_hist.observe(len(chunk))
-                obs.counter("parallel.chunks").inc(len(chunks))
-                tasks = [
-                    (method, chunk, confidence, width, seed, ship_obs,
-                     ship_timeline)
-                    for chunk in chunks
-                ]
-                by_uid = {}
-                solver = 0.0
-                worker_hist = obs.histogram("parallel.worker_seconds")
-                try:
-                    for results, chunk_seconds, snap in pool.map(
-                        _solve_chunk, tasks
-                    ):
-                        solver += chunk_seconds
-                        worker_hist.observe(chunk_seconds)
-                        if snap is not None:
-                            obs.merge_snapshot(snap)
-                        for r in results:
-                            by_uid[r.ref_uid] = r
-                except BrokenProcessPool:
-                    # A worker died mid-task (OOM-killed, crashed).  The
-                    # per-reference work is deterministic and the parent
-                    # holds the full state, so recover by re-solving the
-                    # whole shard serially — identical results, degraded
-                    # wall time, and a counter so the ledger records it.
-                    obs.counter("parallel.pool_broken").inc()
-                    self.close()
-                    _load_state(self._payload)
-                    results, solver, _ = _solve_chunk(
-                        (method, tuple(uids), confidence, width, seed,
-                         False, False)
-                    )
-                    by_uid = {r.ref_uid: r for r in results}
-                report.solver_seconds = solver
-            # Reassemble in the caller's reference order: identical to serial.
-            for uid in uids:
-                report.results[uid] = by_uid[uid]
-            if plan is not None:
-                for ref in plan.solve:
-                    plan.add(ref, by_uid[ref.uid])
-                report.results = plan.finish(report.results)
-        report.elapsed_seconds = time.perf_counter() - started
-        if obs.is_enabled():
-            report.metrics = obs.snapshot()
-        return report
+        uids = tuple(ref.uid for ref in refs)
+        if not uids:
+            return [], 0.0
+        if self.jobs <= 1 or len(uids) <= 1:
+            # Serial path through the identical chunk code (no pool).
+            # ``ship_obs=False``: this process's live instruments record
+            # directly, so nothing must be snapshot/reset here.
+            return self._solve_here(method.name, uids, params)
+        pool = self._ensure_pool()
+        ship_obs = obs.is_enabled()
+        ship_timeline = obs.timeline_enabled()
+        chunks = _deal_chunks(uids, self.jobs)
+        shard_hist = obs.histogram("parallel.shard_size")
+        for chunk in chunks:
+            shard_hist.observe(len(chunk))
+        obs.counter("parallel.chunks").inc(len(chunks))
+        tasks = [
+            (method.name, chunk, params, ship_obs, ship_timeline)
+            for chunk in chunks
+        ]
+        by_uid: dict[int, RefResult] = {}
+        solver = 0.0
+        worker_hist = obs.histogram("parallel.worker_seconds")
+        try:
+            for results, chunk_seconds, snap in pool.map(_solve_chunk, tasks):
+                solver += chunk_seconds
+                worker_hist.observe(chunk_seconds)
+                if snap is not None:
+                    obs.merge_snapshot(snap)
+                for r in results:
+                    by_uid[r.ref_uid] = r
+        except BrokenProcessPool:
+            # A worker died mid-task (OOM-killed, crashed).  The
+            # per-reference work is deterministic and the parent holds the
+            # full state, so recover by solving the references no merged
+            # chunk answered serially — identical results and counters,
+            # degraded wall time, and a counter so the ledger records it.
+            obs.counter("parallel.pool_broken").inc()
+            self.close()
+            missing = tuple(uid for uid in uids if uid not in by_uid)
+            results, seconds = self._solve_here(method.name, missing, params)
+            solver += seconds
+            for r in results:
+                by_uid[r.ref_uid] = r
+        return [by_uid[uid] for uid in uids], solver
+
+    def _solve_here(
+        self, method: str, uids: tuple[int, ...], params: tuple
+    ) -> tuple[list[RefResult], float]:
+        """Solve ``uids`` in this process with a fresh copy of the state."""
+        _load_state(self._payload)
+        results, seconds, _ = _solve_chunk((method, uids, params, False, False))
+        return results, seconds
 
 
 def solve_parallel(
@@ -358,16 +332,9 @@ def solve_parallel(
 ) -> MissReport:
     """One-shot parallel solve (ephemeral :class:`ParallelEngine`).
 
-    ``method`` is ``"find"``, ``"estimate"`` or ``"regions"``; everything
+    ``method`` is a name of :data:`repro.cme.solve.METHODS`; everything
     else mirrors the serial solvers in :mod:`repro.cme`.
     """
-    if method not in ("find", "estimate", "regions"):
-        raise ValueError(
-            f"unknown method {method!r}; use 'find', 'estimate' or 'regions'"
-        )
+    solve.lookup(method)  # reject unknown methods before pickling the state
     with ParallelEngine(nprog, layout, cache, reuse, jobs, memo, backend) as engine:
-        if method == "find":
-            return engine.find(refs)
-        if method == "regions":
-            return engine.regions(refs)
-        return engine.estimate(refs, confidence, width, seed)
+        return engine.run(method, refs, confidence, width, seed)

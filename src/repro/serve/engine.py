@@ -1,23 +1,23 @@
 """The reusable plan → solve → report engine behind the CLI and the daemon.
 
 This module is the code-path split the service forces: *resolving* a
-request to a prepared program, *planning* its per-reference work through a
-(shared) memoizer, *solving* the plan, and *reporting* the result are now
-one engine API instead of logic buried in ``repro-cache analyze``.
+request to a prepared program, then planning, solving and reporting it
+through the solve runner (:func:`repro.cme.solve.run`).
 
 Two solve modes, bit-identical by construction:
 
-* **offline** (``pool=None``) — delegates to :func:`repro.analysis.analyze`
-  — the exact path the CLI always ran, including ``--jobs`` process
-  sharding.  ``repro-cache analyze`` goes through here.
+* **offline** (``pool=None``) — the path :func:`repro.analysis.analyze`
+  runs, including ``--jobs`` process sharding.  ``repro-cache analyze``
+  goes through here.
 * **pooled** (``pool=`` a ``ThreadPoolExecutor``) — the daemon mode: the
-  memo plan runs under the shared memoizer's lock, then each representative
-  reference becomes one unit on the *shared* pool, where units from many
-  concurrent requests interleave.  Units call the very same per-reference
-  functions the serial solvers and the process pool run
-  (:func:`~repro.cme.find.find_ref_misses`,
-  :func:`~repro.cme.estimate.estimate_ref_misses`), so a pooled report is
-  field-for-field identical to an offline one.
+  same runner plans through the shared memoizer, then its executor here
+  submits each representative reference as one unit to the *shared*
+  pool, where units from many concurrent requests interleave.  Units are
+  the method table's per-reference functions — the ones the serial
+  solvers and the process pool run — so a pooled report is
+  field-for-field identical to an offline one.  What this module adds is
+  only the per-state lock, the request deadline and the cancellation of
+  unstarted units.
 
 Per analysis state — ``(program, cache geometry, backend)`` — the engine
 caches the prepared program, the reuse table and the classifier in LRU
@@ -36,11 +36,9 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
-from repro.analysis import PreparedProgram, analyze, prepare
+from repro.analysis import PreparedProgram, prepare
+from repro.cme import solve
 from repro.cme.backend import make_classifier, resolve_backend
-from repro.cme.estimate import estimate_ref_misses
-from repro.cme.find import find_ref_misses
-from repro.cme.regions import region_ref_misses
 from repro.cme.result import MissReport
 from repro.errors import FrontendError, ReproError
 from repro.ir.nodes import Program
@@ -121,6 +119,67 @@ class _State:
     #: Serialises pooled units of this state — classifiers carry internal
     #: caches that are not safe under concurrent classification.
     lock: threading.Lock = field(default_factory=threading.Lock)
+
+
+def _check_deadline(deadline: Optional[float]) -> None:
+    if deadline is not None and time.monotonic() >= deadline:
+        raise RequestTimeout("request deadline expired before solving")
+
+
+class _PooledUnits:
+    """Solve-runner executor: one unit per reference on a shared pool.
+
+    Units of one state serialise on its lock; the request's deadline
+    bounds the wait for every unit, and a timeout or any other failure
+    cancels the units that have not started.
+    """
+
+    jobs = 1
+    span = None
+
+    def __init__(
+        self,
+        state: _State,
+        pool: "ThreadPoolExecutor",
+        deadline: Optional[float],
+    ):
+        self.state = state
+        self.pool = pool
+        self.deadline = deadline
+
+    def solve(self, method, refs, params) -> tuple[list, float]:
+        _check_deadline(self.deadline)
+        unit = method.unit()
+        futures = [self.pool.submit(self._unit, unit, ref, params) for ref in refs]
+        results = []
+        seconds = 0.0
+        try:
+            for ref, future in zip(refs, futures):
+                remaining = None
+                if self.deadline is not None:
+                    remaining = max(0.0, self.deadline - time.monotonic())
+                try:
+                    result, unit_seconds = future.result(timeout=remaining)
+                except FutureTimeout:
+                    raise RequestTimeout(
+                        f"deadline expired while solving {ref.name()} "
+                        f"({len(refs)} unit(s) in flight)"
+                    ) from None
+                results.append(result)
+                seconds += unit_seconds
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
+        return results, seconds
+
+    def _unit(self, unit, ref, params):
+        """One per-reference unit on the shared pool (the daemon's shard)."""
+        state = self.state
+        with state.lock:
+            started = time.perf_counter()
+            result = unit(state.classifier, state.prepared.nprog, ref, *params)
+            return result, time.perf_counter() - started
 
 
 class AnalysisEngine:
@@ -241,147 +300,26 @@ class AnalysisEngine:
         time; crossing it raises :class:`RequestTimeout`.
         """
         started = time.perf_counter()
-        self._check_deadline(deadline)
-        if pool is None:
-            report, memo_info = self._run_offline(request, jobs)
-        else:
-            report, memo_info = self._run_pooled(request, pool, deadline)
+        _check_deadline(deadline)
+        if pool is None:  # the CLI path: in process or ``jobs`` processes
+            prepared = self.prepared_for(request)
+            reuse = prepared.reuse_table(request.cache.line_bytes)
+            executor = None
+        else:  # the daemon path: units on the shared pool
+            state = self._state_for(request)
+            prepared, reuse = state.prepared, state.reuse
+            executor = _PooledUnits(state, pool, deadline)
+        memo_info: dict = {}
+        report = solve.run(
+            request.method, prepared.nprog, prepared.layout, request.cache,
+            reuse, prepared.walker, confidence=request.confidence,
+            width=request.width, seed=request.seed, jobs=jobs, memo=self.memo,
+            backend=request.backend, executor=executor, stats=memo_info,
+        )
+        if self.memo is not None:
+            self.memo.flush()
         info = {
             "memo": memo_info,
             "solve_seconds": time.perf_counter() - started,
         }
         return report, info
-
-    def _run_offline(
-        self, request: AnalyzeRequest, jobs: int
-    ) -> tuple[MissReport, dict]:
-        """The CLI path: the unmodified library solvers, end to end."""
-        prepared = self.prepared_for(request)
-        memo = self.memo
-        before = (
-            (memo.hits, memo.misses, memo.store_hits)
-            if memo is not None
-            else (0, 0, 0)
-        )
-        report = analyze(
-            prepared,
-            request.cache,
-            method=request.method,
-            confidence=request.confidence,
-            width=request.width,
-            seed=request.seed,
-            jobs=jobs,
-            memo=memo,
-            backend=request.backend,
-        )
-        if memo is not None:
-            memo_info = {
-                "hits": memo.hits - before[0],
-                "misses": memo.misses - before[1],
-                "store_hits": memo.store_hits - before[2],
-            }
-        else:
-            memo_info = {"hits": 0, "misses": 0, "store_hits": 0}
-        return report, memo_info
-
-    def _run_pooled(
-        self,
-        request: AnalyzeRequest,
-        pool: "ThreadPoolExecutor",
-        deadline: Optional[float],
-    ) -> tuple[MissReport, dict]:
-        """The daemon path: shared memo plan + shared unit pool."""
-        state = self._state_for(request)
-        nprog = state.prepared.nprog
-        method = request.method
-        targets = list(nprog.refs)
-        plan = None
-        if self.memo is not None:
-            if method == "estimate":
-                session = self.memo.session(
-                    method,
-                    nprog,
-                    state.prepared.layout,
-                    state.cache,
-                    state.reuse,
-                    request.confidence,
-                    request.width,
-                    request.seed,
-                )
-            else:
-                session = self.memo.session(
-                    method,
-                    nprog,
-                    state.prepared.layout,
-                    state.cache,
-                    state.reuse,
-                )
-            plan = session.plan(targets)
-            solve_list = plan.solve
-        else:
-            solve_list = targets
-        store_hits_before = self.memo.store_hits if self.memo else 0
-        self._check_deadline(deadline)
-        name = {
-            "find": "FindMisses",
-            "regions": "RegionMisses",
-        }.get(method, "EstimateMisses")
-        report = MissReport(name, state.cache)
-        futures = [
-            pool.submit(self._solve_unit, state, ref, request)
-            for ref in solve_list
-        ]
-        try:
-            for ref, future in zip(solve_list, futures):
-                remaining = None
-                if deadline is not None:
-                    remaining = max(0.0, deadline - time.monotonic())
-                try:
-                    report.results[ref.uid] = future.result(timeout=remaining)
-                except FutureTimeout:
-                    raise RequestTimeout(
-                        f"deadline expired while solving {ref.name()} "
-                        f"({len(solve_list)} unit(s) in flight)"
-                    ) from None
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
-        if plan is not None:
-            for ref in plan.solve:
-                plan.add(ref, report.results[ref.uid])
-            report.results = plan.finish(report.results)
-            self.memo.flush()
-            memo_info = {
-                "hits": plan.replays,
-                "misses": len(plan.solve),
-                "store_hits": self.memo.store_hits - store_hits_before,
-            }
-        else:
-            memo_info = {"hits": 0, "misses": len(solve_list), "store_hits": 0}
-        report.solver_seconds = report.elapsed_seconds = 0.0
-        return report, memo_info
-
-    @staticmethod
-    def _solve_unit(state: _State, ref, request: AnalyzeRequest):
-        """One per-reference unit on the shared pool (the daemon's shard)."""
-        with state.lock:
-            if request.method == "find":
-                return find_ref_misses(state.classifier, state.prepared.nprog, ref)
-            if request.method == "regions":
-                return region_ref_misses(
-                    state.classifier, state.prepared.nprog, ref
-                )
-            return estimate_ref_misses(
-                state.classifier,
-                state.prepared.nprog,
-                ref,
-                request.confidence,
-                request.width,
-                request.seed,
-            )
-
-    @staticmethod
-    def _check_deadline(deadline: Optional[float]) -> None:
-        if deadline is not None and time.monotonic() >= deadline:
-            raise RequestTimeout("request deadline expired before solving")

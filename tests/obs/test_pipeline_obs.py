@@ -11,17 +11,9 @@ import pytest
 
 from repro import CacheConfig, analyze, obs, prepare, run_simulation
 from repro.kernels import build_hydro
+from repro.memo import Memoizer
 from repro.obs.export import validate_snapshot
 
-SOLVE_COUNTERS = [
-    "cme.points.classified",
-    "cme.points.cold",
-    "cme.points.replacement",
-    "cme.points.hit",
-    "cme.refs.analysed",
-    "cme.solver.vector_trials",
-    "cme.sampling.draws",
-]
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +27,11 @@ def cache():
 
 
 def solve_counters(snapshot):
-    counters = snapshot["counters"]
-    return {name: counters.get(name, 0) for name in SOLVE_COUNTERS}
+    return {
+        name: value
+        for name, value in snapshot["counters"].items()
+        if name.startswith(("cme.", "memo."))
+    }
 
 
 class TestSerialInstrumentation:
@@ -115,18 +110,29 @@ class TestSerialInstrumentation:
 
 
 class TestParallelMerge:
-    @pytest.mark.parametrize("method", ["estimate", "find"])
+    @pytest.mark.parametrize("method", ["estimate", "find", "regions"])
     def test_merged_counters_equal_serial(self, prepared, cache, method):
+        """Every ``cme.*`` and ``memo.*`` counter, with and without a
+        memoizer.  ``polyhedra.count.cache_hits`` is exempt: the count memo
+        is per process (see :mod:`repro.parallel.engine`)."""
         obs.enable()
-        serial_report = analyze(prepared, cache, method=method, seed=0)
-        serial = solve_counters(obs.snapshot())
-        obs.reset()
-        parallel_report = analyze(
-            prepared, cache, method=method, seed=0, jobs=2
-        )
-        merged = solve_counters(obs.snapshot())
-        assert serial_report == parallel_report
-        assert merged == serial
+        for memoized in (False, True):
+            reports, counters = [], []
+            for jobs in (1, 2):
+                obs.reset()
+                memo = Memoizer() if memoized else None
+                reports.append(
+                    analyze(
+                        prepared, cache, method=method, seed=0, jobs=jobs,
+                        memo=memo,
+                    )
+                )
+                counters.append(solve_counters(obs.snapshot()))
+            serial, merged = counters
+            assert reports[0] == reports[1]
+            assert merged == serial
+            assert serial["cme.points.classified"] > 0
+            assert ("memo.misses" in serial) == memoized
 
     def test_worker_spans_merge_under_parallel_solve(self, prepared, cache):
         obs.enable()

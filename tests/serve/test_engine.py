@@ -136,3 +136,26 @@ def test_prepared_lru_eviction():
         engine.prepared_for(request_for("hydro", size, "find"))
     assert len(engine._prepared) == 2
     assert "kernel:hydro:8:2" not in engine._prepared
+
+
+def test_pooled_accounting_over_a_warm_store(tmp_path):
+    """Per-request accounting is the request's own: store hits counted by
+    its plan, real solve timings, and no misses without a memoizer."""
+    request = request_for("hydro", 16, "find")
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        with Memoizer.open(str(tmp_path)) as cold_memo:
+            cold, cold_info = AnalysisEngine(memo=cold_memo).run(
+                request, pool=pool
+            )
+        warm_memo = Memoizer.open(str(tmp_path))
+        warm, warm_info = AnalysisEngine(memo=warm_memo).run(
+            request, pool=pool
+        )
+        bare, bare_info = AnalysisEngine().run(request, pool=pool)
+    assert cold_info["memo"]["misses"] > 0
+    assert cold.elapsed_seconds > 0.0 and cold.solver_seconds > 0.0
+    memo = warm_info["memo"]
+    assert memo["misses"] == 0
+    assert memo["store_hits"] == memo["hits"] == len(warm.results) > 0
+    assert bare_info["memo"] == {"hits": 0, "misses": 0, "store_hits": 0}
+    assert report_doc(cold) == report_doc(warm) == report_doc(bare)
